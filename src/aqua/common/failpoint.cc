@@ -239,7 +239,7 @@ std::string FailSpec::ToString() const {
       out += "after(" + std::to_string(n) + ")*";
       break;
     case FaultTrigger::kProb:
-      out += "p(" + FormatDouble(prob) + "," + std::to_string(seed) + ")*";
+      out += "p(" + FormatRoundTrip(prob) + "," + std::to_string(seed) + ")*";
       break;
   }
   switch (kind) {
@@ -338,23 +338,6 @@ const std::vector<SiteInfo>& AllSites() {
        "writing an HTTP response back to the client; an error models a "
        "connection dropped mid-response (the answer is lost in transit, "
        "never corrupted)"},
-      {"shard/spawn",
-       "the coordinator submitting a shard's primary attempt to the pool; "
-       "an error drives the inline spawn-fallback path (byte-identical "
-       "results, counted in aqua_shard_spawn_fallback_total)"},
-      {"shard/run",
-       "a shard attempt about to run its job; error models shard death "
-       "(degrades that shard to sampling), delay models a straggler "
-       "(drives hedged re-execution), partial tears the shard's scan "
-       "(caught by the rows_covered coverage check)"},
-      {"shard/merge",
-       "the coordinator about to merge committed shard partials; an error "
-       "proves a merge-stage failure surfaces as a clean Status, never a "
-       "half-merged answer"},
-      {"shard/hedge",
-       "the coordinator submitting a hedge (duplicate) attempt for a "
-       "straggling shard; an error sheds the hedge (counted in "
-       "aqua_shard_hedge_shed_total) while the primary keeps running"},
   };
   return *sites;
 }

@@ -1,6 +1,7 @@
 #include "aqua/common/string_util.h"
 
 #include <cctype>
+#include <charconv>
 #include <cstdio>
 
 namespace aqua {
@@ -51,6 +52,12 @@ std::string FormatDouble(double v) {
   char buf[32];
   std::snprintf(buf, sizeof(buf), "%.6g", v);
   return buf;
+}
+
+std::string FormatRoundTrip(double v) {
+  char buf[32];
+  const std::to_chars_result r = std::to_chars(buf, buf + sizeof(buf), v);
+  return std::string(buf, r.ptr);
 }
 
 }  // namespace aqua

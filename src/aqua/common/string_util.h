@@ -25,6 +25,11 @@ bool StartsWith(std::string_view text, std::string_view prefix);
 /// printf-style float formatting with %.6g, as used in traces and benches.
 std::string FormatDouble(double v);
 
+/// Shortest text that parses back to exactly `v` (std::to_chars), for
+/// every number aqua writes to be read again and for error messages that
+/// must not round a value into looking valid.
+std::string FormatRoundTrip(double v);
+
 }  // namespace aqua
 
 #endif  // AQUA_COMMON_STRING_UTIL_H_

@@ -1,6 +1,8 @@
 #include "aqua/core/by_tuple_minmax.h"
 
 #include <algorithm>
+#include <cmath>
+#include <cstdint>
 #include <limits>
 
 #include "aqua/core/by_tuple_common.h"
@@ -113,6 +115,28 @@ Result<Interval> ByTupleMinMax::RangeMin(const AggregateQuery& query,
 
 namespace {
 
+/// A positive product as mantissa * 2^exponent, so that it cannot
+/// underflow however many factors below 1 it absorbs.
+class ScaledProduct {
+ public:
+  void Multiply(double factor) {
+    int e = 0;
+    mantissa_ = std::frexp(mantissa_ * factor, &e);
+    exponent_ += e;
+  }
+  /// The product as a double: 0 or subnormal once it is below DBL_MIN.
+  double Value() const {
+    // Past +-2100 the result is 0 or inf either way; the clamp only keeps
+    // the exponent inside ldexp's int.
+    return std::ldexp(mantissa_, static_cast<int>(std::clamp<int64_t>(
+                                     exponent_, -2100, 2100)));
+  }
+
+ private:
+  double mantissa_ = 1.0;
+  int64_t exponent_ = 0;
+};
+
 /// Shared sweep for DistMax/DistMin. `toward_max` selects the direction:
 /// MAX sweeps candidate values ascending accumulating P(MAX <= x); MIN
 /// sweeps descending accumulating P(MIN >= x).
@@ -174,11 +198,12 @@ Result<NaiveAnswer> DistExtremum(const AggregateQuery& query,
             });
 
   // Running product of q_i over tuples, with explicit zero tracking so a
-  // q_i leaving zero never divides by zero.
+  // q_i leaving zero never divides by zero. The product of hundreds of
+  // thousands of factors below 1 is far below DBL_MIN, so it is kept as
+  // a mantissa and a binary exponent and only materialised as a CDF value.
   std::vector<double> q = excluded;
   size_t zeros = 0;
-  double product = 1.0;
-  double undefined = 1.0;
+  ScaledProduct product;
   for (double e : q) {
     // Exact-zero factors are tracked separately so the running product
     // never collapses to 0.
@@ -186,15 +211,18 @@ Result<NaiveAnswer> DistExtremum(const AggregateQuery& query,
     if (e == 0.0) {
       ++zeros;
     } else {
-      product *= e;
+      product.Multiply(e);
     }
-    undefined *= e;
   }
+  const double undefined = zeros > 0 ? 0.0 : product.Value();
   answer.undefined_mass = undefined;
 
   // Sweep: after absorbing all events at value x, the running product is
   // P(extremum is defined and bounded by x) + undefined mass; the atom at
-  // x is the increase over the previous cumulative value.
+  // x is the increase over the previous cumulative value. Rounding in the
+  // ratio updates may move the product a few ulps either way, so the
+  // cumulative value is kept non-decreasing and at most 1: no atom is
+  // negative and the atoms never sum past 1.
   double prev_cdf = undefined;  // P(all excluded) = "bounded by" vacuously
   std::vector<Distribution::Entry> entries;
   size_t pos = 0;
@@ -210,19 +238,18 @@ Result<NaiveAnswer> DistExtremum(const AggregateQuery& query,
       // aqua-lint: allow(float-equality)
       if (old_q == 0.0) {
         --zeros;
-        product *= new_q;
+        product.Multiply(new_q);
       } else {
-        product *= new_q / old_q;
+        product.Multiply(new_q / old_q);
       }
       q[ev.tuple] = new_q;
       ++pos;
     }
-    const double cdf = zeros > 0 ? 0.0 : product;
-    const double atom = cdf - prev_cdf;
-    if (atom > 0.0) {
-      entries.push_back(Distribution::Entry{x, atom});
+    const double cdf = zeros > 0 ? 0.0 : std::min(product.Value(), 1.0);
+    if (cdf > prev_cdf) {
+      entries.push_back(Distribution::Entry{x, cdf - prev_cdf});
+      prev_cdf = cdf;
     }
-    prev_cdf = cdf;
   }
   AQUA_ASSIGN_OR_RETURN(answer.distribution,
                         Distribution::FromEntries(std::move(entries)));

@@ -13,7 +13,6 @@
 #include "aqua/core/by_tuple_count.h"
 #include "aqua/core/by_tuple_minmax.h"
 #include "aqua/core/by_tuple_sum.h"
-#include "aqua/core/merge.h"
 #include "aqua/core/nested.h"
 #include "aqua/query/executor.h"
 #include "aqua/query/parser.h"
@@ -101,40 +100,6 @@ Result<AggregateAnswer> FromNaiveDist(NaiveAnswer naive) {
         "; no total distribution exists");
   }
   return AggregateAnswer::MakeDistribution(std::move(naive.distribution));
-}
-
-/// The shardability matrix: cells whose by-tuple algorithm decomposes
-/// over disjoint tuple subsets with an exact merge law (core/merge.h).
-/// COUNT decomposes under all three semantics (convolution / bound sum /
-/// linearity); SUM range and expected value are sums; MIN/MAX
-/// distribution and expected value factorise over per-shard CDFs when
-/// the exact extremum algorithm is on. Everything else (AVG, SUM
-/// distribution, MIN/MAX range with its mandatory/optional bound logic)
-/// runs unsharded.
-bool ShardableCell(const AggregateQuery& query, AggregateSemantics semantics,
-                   const EngineOptions& options) {
-  switch (query.func) {
-    case AggregateFunction::kCount:
-      return true;
-    case AggregateFunction::kSum:
-      return semantics == AggregateSemantics::kRange ||
-             semantics == AggregateSemantics::kExpectedValue;
-    case AggregateFunction::kAvg:
-      return false;
-    case AggregateFunction::kMin:
-    case AggregateFunction::kMax:
-      return semantics != AggregateSemantics::kRange &&
-             options.minmax_distribution_exact;
-  }
-  return false;
-}
-
-size_t EffectiveShards(const EngineOptions& options,
-                       const AggregateQuery& query,
-                       AggregateSemantics semantics, size_t num_rows) {
-  if (options.shards <= 1 || num_rows < 2) return 1;
-  if (!ShardableCell(query, semantics, options)) return 1;
-  return std::min(static_cast<size_t>(options.shards), num_rows);
 }
 
 }  // namespace
@@ -280,244 +245,6 @@ Result<AggregateAnswer> Engine::AnswerByTuple(
   return Status::Internal("corrupt dispatch");
 }
 
-Result<AggregateAnswer> Engine::AnswerByTupleSharded(
-    const AggregateQuery& query, const PMapping& pmapping,
-    const Table& source, AggregateSemantics semantics,
-    ExecContext* ctx) const {
-  obs::TraceSpan span("Engine::AnswerByTupleSharded");
-  const size_t effective =
-      std::min(static_cast<size_t>(options_.shards), source.num_rows());
-  const std::vector<std::vector<uint32_t>> shard_rows =
-      shard::Supervisor::PlanShards(source.num_rows(),
-                                    static_cast<int>(effective));
-  const bool is_max = query.func == AggregateFunction::kMax;
-
-  // The exact shard job: the cell's own PTIME algorithm over the shard's
-  // rows. Inner algorithms run serial — the shards themselves are the
-  // parallel axis.
-  const shard::ShardJob job =
-      [&](size_t s, const std::vector<uint32_t>& rows,
-          ExecContext* child) -> Result<merge::ShardPartial> {
-    (void)s;
-    merge::ShardPartial p;
-    p.rows_covered = rows.size();
-    switch (query.func) {
-      case AggregateFunction::kCount:
-        switch (semantics) {
-          case AggregateSemantics::kRange: {
-            AQUA_ASSIGN_OR_RETURN(p.range, ByTupleCount::Range(
-                                               query, pmapping, source, &rows,
-                                               child));
-            break;
-          }
-          case AggregateSemantics::kDistribution: {
-            AQUA_ASSIGN_OR_RETURN(
-                p.dist, ByTupleCount::Dist(query, pmapping, source, &rows,
-                                           child, exec::ExecPolicy{}));
-            break;
-          }
-          case AggregateSemantics::kExpectedValue: {
-            AQUA_ASSIGN_OR_RETURN(
-                p.expected,
-                options_.count_expected_via_distribution
-                    ? ByTupleCount::ExpectedViaDistribution(
-                          query, pmapping, source, &rows, child,
-                          exec::ExecPolicy{})
-                    : ByTupleCount::Expected(query, pmapping, source, &rows,
-                                             child));
-            break;
-          }
-        }
-        return p;
-      case AggregateFunction::kSum:
-        switch (semantics) {
-          case AggregateSemantics::kRange: {
-            AQUA_ASSIGN_OR_RETURN(p.range, ByTupleSum::RangeSum(
-                                               query, pmapping, source, &rows,
-                                               child));
-            break;
-          }
-          case AggregateSemantics::kExpectedValue: {
-            AQUA_ASSIGN_OR_RETURN(p.expected, ByTupleSum::ExpectedSumLinear(
-                                                  query, pmapping, source,
-                                                  &rows, child));
-            break;
-          }
-          case AggregateSemantics::kDistribution:
-            return Status::Internal("unshardable SUM cell in shard job");
-        }
-        return p;
-      case AggregateFunction::kMin:
-      case AggregateFunction::kMax: {
-        // Both distribution and expected-value semantics need the
-        // shard-local extremum distribution; the coordinator takes the
-        // expectation after the CDF-product merge.
-        AQUA_ASSIGN_OR_RETURN(
-            NaiveAnswer na,
-            is_max ? ByTupleMinMax::DistMax(query, pmapping, source, &rows,
-                                            child)
-                   : ByTupleMinMax::DistMin(query, pmapping, source, &rows,
-                                            child));
-        p.dist = std::move(na.distribution);
-        p.undefined_mass = na.undefined_mass;
-        return p;
-      }
-      case AggregateFunction::kAvg:
-        break;
-    }
-    return Status::Internal("unshardable cell in shard job");
-  };
-
-  // The degraded shard job: Monte-Carlo sampling over just this shard's
-  // rows, with a per-shard seed so degraded shards draw independent
-  // streams. Only wired up when the engine's degrade ladder allows
-  // sampling at all.
-  const shard::ShardJob fallback_job =
-      [&](size_t s, const std::vector<uint32_t>& rows,
-          ExecContext* child) -> Result<merge::ShardPartial> {
-    SamplerOptions sampler = options_.degrade_sampler;
-    sampler.seed ^= 0x9E3779B97F4A7C15ULL * (static_cast<uint64_t>(s) + 1);
-    AQUA_ASSIGN_OR_RETURN(
-        SampledAnswer sampled,
-        ByTupleSampler::Sample(query, pmapping, source, sampler, &rows, child,
-                               exec::ExecPolicy{}));
-    merge::ShardPartial p;
-    p.rows_covered = rows.size();
-    p.approximate = true;
-    p.note = "shard " + std::to_string(s) + " sampled (" +
-             std::to_string(sampled.num_samples) + " samples)";
-    switch (semantics) {
-      case AggregateSemantics::kRange:
-        p.range = sampled.observed_range;
-        return p;
-      case AggregateSemantics::kExpectedValue:
-        if (query.func == AggregateFunction::kMin ||
-            query.func == AggregateFunction::kMax) {
-          // The coordinator takes the expectation after the CDF merge.
-          p.dist = std::move(sampled.empirical);
-          p.undefined_mass =
-              sampled.num_samples == 0
-                  ? 1.0
-                  : static_cast<double>(sampled.undefined_samples) /
-                        static_cast<double>(sampled.num_samples);
-          return p;
-        }
-        p.expected = sampled.expected;
-        return p;
-      case AggregateSemantics::kDistribution:
-        p.dist = std::move(sampled.empirical);
-        p.undefined_mass =
-            sampled.num_samples == 0
-                ? 1.0
-                : static_cast<double>(sampled.undefined_samples) /
-                      static_cast<double>(sampled.num_samples);
-        return p;
-    }
-    return Status::Internal("corrupt semantics in shard fallback");
-  };
-
-  shard::SupervisorOptions sup;
-  sup.shards = static_cast<int>(shard_rows.size());
-  sup.threads = options_.threads;
-  sup.hedge = options_.hedge;
-  const shard::Supervisor supervisor(sup);
-  shard::SupervisorReport report;
-  const shard::ShardJob* fallback =
-      options_.degrade == DegradePolicy::kSample ? &fallback_job : nullptr;
-  AQUA_ASSIGN_OR_RETURN(
-      std::vector<shard::ShardOutcome> outcomes,
-      supervisor.Run(shard_rows, ctx, job, fallback, &report));
-
-  // An error here proves a merge-stage failure surfaces as a clean
-  // Status, never a half-merged answer.
-  AQUA_FAILPOINT("shard/merge");
-  const auto merge_start = Clock::now();
-
-  // Coverage backstop: every row planned into a shard came back in
-  // exactly one committed partial. A violation means a torn partial got
-  // past the supervisor — corruption, not an input error.
-  uint64_t covered = 0;
-  for (const shard::ShardOutcome& o : outcomes) {
-    covered += o.partial.rows_covered;
-  }
-  AQUA_CHECK(covered == source.num_rows())
-      << "shard merge coverage hole: partials cover " << covered << " of "
-      << source.num_rows() << " rows";
-
-  std::vector<merge::ShardPartial> parts;
-  parts.reserve(outcomes.size());
-  std::string degrade_notes;
-  for (shard::ShardOutcome& o : outcomes) {
-    if (o.degraded && !o.partial.note.empty()) {
-      if (!degrade_notes.empty()) degrade_notes += "; ";
-      degrade_notes += o.partial.note;
-    }
-    parts.push_back(std::move(o.partial));
-  }
-
-  AggregateAnswer answer;
-  switch (query.func) {
-    case AggregateFunction::kCount:
-    case AggregateFunction::kSum:
-      switch (semantics) {
-        case AggregateSemantics::kRange:
-          answer = AggregateAnswer::MakeRange(merge::MergeIntervalSum(parts));
-          break;
-        case AggregateSemantics::kExpectedValue:
-          answer =
-              AggregateAnswer::MakeExpected(merge::MergeExpectedSum(parts));
-          break;
-        case AggregateSemantics::kDistribution: {
-          AQUA_ASSIGN_OR_RETURN(Distribution d,
-                                merge::MergeCountDistributions(parts));
-          answer = AggregateAnswer::MakeDistribution(std::move(d));
-          break;
-        }
-      }
-      break;
-    case AggregateFunction::kMin:
-    case AggregateFunction::kMax: {
-      AQUA_ASSIGN_OR_RETURN(NaiveAnswer na,
-                            merge::MergeExtremeDistributions(parts, is_max));
-      if (semantics == AggregateSemantics::kDistribution) {
-        AQUA_ASSIGN_OR_RETURN(answer, FromNaiveDist(std::move(na)));
-      } else {
-        // Mirrors ByTupleMinMax's ExpectedFrom, message included.
-        if (na.undefined_mass > 1e-12) {
-          return Status::InvalidArgument(
-              "expected value is undefined: the aggregate has no value "
-              "with probability " +
-              std::to_string(na.undefined_mass));
-        }
-        AQUA_ASSIGN_OR_RETURN(double e, na.distribution.Expectation());
-        answer = AggregateAnswer::MakeExpected(e);
-      }
-      break;
-    }
-    case AggregateFunction::kAvg:
-      return Status::Internal("unshardable cell reached shard merge");
-  }
-  obs::MetricsRegistry::Default()
-      .GetHistogram("aqua_shard_merge_latency_us")
-      .Observe(static_cast<double>(ElapsedUs(merge_start)));
-
-  answer.stats.shards = report.shards;
-  answer.stats.degraded_shards = report.degraded;
-  answer.stats.hedged_shards = report.hedged;
-  if (report.degraded > 0) {
-    const std::string note =
-        std::to_string(report.degraded) + " of " +
-        std::to_string(report.shards) + " shards degraded to sampling";
-    answer.approximate = true;
-    answer.note = degrade_notes.empty() ? note : note + " (" +
-                                                     degrade_notes + ")";
-    answer.stats.degraded = true;
-    answer.stats.degrade_reason = "shard-local degradation: " + note;
-    answer.stats.sampler_seed = options_.degrade_sampler.seed;
-  }
-  return answer;
-}
-
 void Engine::FillCommonStats(QueryStats* stats, const AggregateQuery& query,
                              const PMapping& pmapping,
                              MappingSemantics mapping_semantics,
@@ -631,11 +358,6 @@ Result<AggregateAnswer> Engine::Answer(
     // error(resource-exhausted) here deterministically drives the
     // exact-to-sampler degradation edge without needing a tight budget.
     AQUA_FAILPOINT("core/engine/exact");
-    if (EffectiveShards(options_, query, aggregate_semantics,
-                        source.num_rows()) > 1) {
-      return AnswerByTupleSharded(query, pmapping, source,
-                                  aggregate_semantics, &ctx);
-    }
     return AnswerByTuple(query, pmapping, source, aggregate_semantics,
                          /*rows=*/nullptr, &ctx,
                          exec::ExecPolicy{options_.threads});
@@ -648,10 +370,7 @@ Result<AggregateAnswer> Engine::Answer(
     stats.wall_time_us = wall;
     stats.steps = ctx.steps();
     stats.bytes = ctx.bytes();
-    // Shard-local degradation produces a flagged-approximate answer on
-    // the "exact" pass; the outcome label follows the stats.
-    RecordQueryMetrics(cell, stats.degraded ? "degraded" : "ok", wall,
-                       stats.steps, stats.bytes);
+    RecordQueryMetrics(cell, "ok", wall, stats.steps, stats.bytes);
     return exact;
   }
   if (options_.degrade == DegradePolicy::kOff ||

@@ -11,7 +11,6 @@
 #include "aqua/exec/parallel.h"
 #include "aqua/mapping/p_mapping.h"
 #include "aqua/query/ast.h"
-#include "aqua/shard/supervisor.h"
 #include "aqua/storage/table.h"
 
 namespace aqua {
@@ -56,21 +55,6 @@ struct EngineOptions {
   /// and sampled estimates use the same per-chunk RNG streams at every
   /// setting.
   int threads = 0;
-
-  /// In-process fault domains for the ungrouped by-tuple pass. Values > 1
-  /// partition the tuple set into up to `shards` contiguous shards, run
-  /// each under its own child ExecContext via the shard supervisor
-  /// (hedged re-execution of stragglers, shard-local degradation to
-  /// sampling when `degrade` allows), and merge the partials with the
-  /// exact combination laws in core/merge.h. Only decomposable cells
-  /// shard (COUNT everything; SUM range/expected; MIN/MAX
-  /// distribution/expected when `minmax_distribution_exact`); the rest
-  /// run unsharded. 1 = off.
-  int shards = 1;
-
-  /// Straggler hedging policy for the shard supervisor (only consulted
-  /// when `shards` > 1 and `threads` allows concurrency).
-  shard::HedgePolicy hedge;
 
   /// When false, semantics combinations with no PTIME algorithm (by-tuple
   /// distribution/expected value for SUM/AVG/MIN/MAX, per the paper's
@@ -192,16 +176,6 @@ class Engine {
                                         const std::vector<uint32_t>* rows,
                                         ExecContext* ctx,
                                         const exec::ExecPolicy& policy) const;
-
-  /// Sharded variant of the exact by-tuple pass: partitions the rows
-  /// into `options_.shards` fault domains, runs the cell's algorithm
-  /// shard-local under the shard supervisor, and merges the partials.
-  /// Only called for cells the shardability matrix approves (see
-  /// EngineOptions::shards).
-  Result<AggregateAnswer> AnswerByTupleSharded(
-      const AggregateQuery& query, const PMapping& pmapping,
-      const Table& source, AggregateSemantics semantics,
-      ExecContext* ctx) const;
 
   /// Re-answers an ungrouped by-tuple query with the Monte-Carlo sampler
   /// after the exact pass failed with `exact_failure` (a budget error),

@@ -1,8 +1,6 @@
 #ifndef AQUA_CORE_MERGE_H_
 #define AQUA_CORE_MERGE_H_
 
-#include <cstdint>
-#include <string>
 #include <vector>
 
 #include "aqua/common/interval.h"
@@ -13,39 +11,29 @@
 
 namespace aqua::merge {
 
-/// The unit of work a shard hands back to the coordinator: whichever of
-/// the fields below the cell's semantics needs, plus enough metadata for
-/// the coordinator to validate coverage and flag degradation.
+/// The aggregate of one part of a tuple set: whichever of the fields
+/// below the cell's semantics needs.
 ///
 /// The paper's by-tuple semantics decompose over disjoint tuple subsets:
 /// COUNT distributions combine by convolution, range bounds and CLT
 /// moments by addition, and MIN/MAX CDFs by pointwise product (tuples
 /// choose mappings independently, so the extremum over the union is
-/// distributed as the product of per-shard CDFs). Each merge operator
-/// below is the exact combination law for one of those shapes and is
-/// property-tested byte-identical to the serial algorithm at every shard
+/// distributed as the product of per-part CDFs). Each merge operator
+/// below is the exact combination law for one of those shapes, the
+/// algebra for computing a by-tuple cell chunk by chunk, and is
+/// property-tested byte-identical to the serial algorithm at every part
 /// count.
 struct ShardPartial {
-  /// Range semantics: bounds of the aggregate restricted to this shard.
+  /// Range semantics: bounds of the aggregate restricted to this part.
   Interval range;
-  /// Distribution semantics: shard-local outcome distribution.
+  /// Distribution semantics: part-local outcome distribution.
   Distribution dist;
-  /// Probability that the shard-local aggregate is undefined (MIN/MAX
-  /// over a shard where no tuple qualifies under some sequences).
+  /// Probability that the part-local aggregate is undefined (MIN/MAX
+  /// over a part where no tuple qualifies under some sequences).
   double undefined_mass = 0.0;
-  /// Expected-value semantics: shard-local expectation (additive for
+  /// Expected-value semantics: part-local expectation (additive for
   /// COUNT/SUM by linearity).
   double expected = 0.0;
-  /// How many of the rows assigned to this shard the partial covers. The
-  /// coordinator checks the sum against the table size, turning a torn
-  /// partial (a shard that died mid-scan but still reported) into a
-  /// detected error instead of a silently wrong answer.
-  uint64_t rows_covered = 0;
-  /// True when this partial came from the degraded (sampling) path; the
-  /// combined answer is then flagged approximate.
-  bool approximate = false;
-  /// Human-readable degradation detail, surfaced in the answer note.
-  std::string note;
 };
 
 /// Sum of per-shard range bounds, in shard order. Exact for COUNT and SUM:

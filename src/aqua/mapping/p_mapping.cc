@@ -24,7 +24,7 @@ Result<PMapping> PMapping::Make(std::vector<Alternative> alternatives,
     }
     if (alt.probability < 0.0 || alt.probability > 1.0) {
       return Status::InvalidArgument(
-          "probability " + FormatDouble(alt.probability) +
+          "probability " + FormatRoundTrip(alt.probability) +
           " of candidate " + std::to_string(i) + " is outside [0, 1]");
     }
     total += alt.probability;
@@ -38,7 +38,7 @@ Result<PMapping> PMapping::Make(std::vector<Alternative> alternatives,
   }
   if (std::fabs(total - 1.0) > eps) {
     return Status::InvalidArgument("mapping probabilities sum to " +
-                                   FormatDouble(total) + ", expected 1");
+                                   FormatRoundTrip(total) + ", expected 1");
   }
   PMapping pm;
   pm.alternatives_ = std::move(alternatives);

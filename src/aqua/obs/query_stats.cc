@@ -32,11 +32,6 @@ std::string QueryStats::ToString() const {
            std::to_string(limit_steps) + "steps/" +
            std::to_string(limit_bytes) + "bytes";
   }
-  if (shards > 0) {
-    out += " shards=" + std::to_string(shards) +
-           " degraded_shards=" + std::to_string(degraded_shards) +
-           " hedged_shards=" + std::to_string(hedged_shards);
-  }
   if (samples > 0) {
     out += " samples=" + std::to_string(samples) +
            " sampler_seed=" + std::to_string(sampler_seed);
@@ -62,9 +57,6 @@ std::string QueryStats::ToJson() const {
   out += ",\"sampler_seed\":" + std::to_string(sampler_seed);
   out += std::string(",\"degraded\":") + (degraded ? "true" : "false");
   out += ',' + obs::JsonString("degrade_reason", degrade_reason);
-  out += ",\"shards\":" + std::to_string(shards);
-  out += ",\"degraded_shards\":" + std::to_string(degraded_shards);
-  out += ",\"hedged_shards\":" + std::to_string(hedged_shards);
   out += '}';
   return out;
 }

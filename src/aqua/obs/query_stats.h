@@ -54,18 +54,9 @@ struct QueryStats {
 
   /// True when the exact pass blew its budget and the engine re-answered
   /// by sampling; `degrade_reason` then carries the exact pass's failure
-  /// (e.g. "kDeadlineExceeded: ..."). Shard-local degradation (some
-  /// shards sampled, the rest exact) also sets this, with
-  /// `degraded_shards` saying how many.
+  /// (e.g. "kDeadlineExceeded: ...").
   bool degraded = false;
   std::string degrade_reason;
-
-  /// Fault-domain sharding facts: how many shards the by-tuple pass ran
-  /// across (zero = unsharded), how many of them degraded locally to
-  /// sampling, and how many had a hedged duplicate attempt issued.
-  uint64_t shards = 0;
-  uint64_t degraded_shards = 0;
-  uint64_t hedged_shards = 0;
 
   /// One-line human rendering, e.g.
   /// `algorithm="ByTuplePDCOUNT, O(m*n + n^2)" wall=1.2ms steps=532 ...`.

@@ -2,7 +2,6 @@
 
 #include <charconv>
 #include <fstream>
-#include <sstream>
 
 #include "aqua/common/failpoint.h"
 #include "aqua/common/string_util.h"
@@ -208,10 +207,20 @@ Result<Table> Csv::ReadFile(const std::string& path, const Schema& schema,
         // consuming, leaving error/delay specs untouched.
         const bool torn = fault::InjectPartial("storage/csv/read-file");
         AQUA_FAILPOINT("storage/csv/read-file");
-        std::ifstream in(path, std::ios::binary);
+        std::ifstream in(path, std::ios::binary | std::ios::ate);
         if (!in) return Status::NotFound("cannot open '" + path + "'");
-        std::ostringstream buf;
-        buf << in.rdbuf();
+        // Read straight into one buffer of the file's size, so the text
+        // is held once while it is parsed.
+        const std::streamoff size = in.tellg();
+        if (size < 0) {
+          return Status::InvalidArgument("cannot size '" + path +
+                                         "' (not a regular file?)");
+        }
+        std::string contents(static_cast<size_t>(size), '\0');
+        in.seekg(0);
+        if (!in.read(contents.data(), size)) {
+          return Status::Unavailable("short read of '" + path + "'");
+        }
         if (torn) {
           // A partial-result fault models a torn read. The byte count
           // mismatch is *detected*, classified transient, and retried —
@@ -219,7 +228,7 @@ Result<Table> Csv::ReadFile(const std::string& path, const Schema& schema,
           return Status::Unavailable("short read of '" + path +
                                      "' (injected partial result)");
         }
-        return buf.str();
+        return contents;
       });
   AQUA_RETURN_NOT_OK(text.status());
   return Parse(*text, schema);

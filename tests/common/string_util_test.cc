@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdlib>
+
 namespace aqua {
 namespace {
 
@@ -57,6 +59,17 @@ TEST(FormatDoubleTest, SixSignificantDigits) {
   EXPECT_EQ(FormatDouble(975.437), "975.437");
   EXPECT_EQ(FormatDouble(0.0576), "0.0576");
   EXPECT_EQ(FormatDouble(1000000.0), "1e+06");
+}
+
+TEST(FormatRoundTripTest, ShortestTextThatParsesBackExactly) {
+  EXPECT_EQ(FormatRoundTrip(0.3), "0.3");
+  EXPECT_EQ(FormatRoundTrip(0.1 + 0.2), "0.30000000000000004");
+  EXPECT_EQ(FormatRoundTrip(1.0), "1");
+  EXPECT_EQ(FormatRoundTrip(1.0 - 0x1p-52), "0.9999999999999998");
+  for (const double v : {1.0 / 3.0, 2.0 / 7.0, 5e-324, 1.7976931348623157e308,
+                         -0.0576, 123456789.125}) {
+    EXPECT_EQ(std::strtod(FormatRoundTrip(v).c_str(), nullptr), v) << FormatRoundTrip(v);
+  }
 }
 
 }  // namespace

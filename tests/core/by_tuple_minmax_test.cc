@@ -2,6 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <array>
+#include <cmath>
+#include <vector>
+
+#include "aqua/common/random.h"
 #include "aqua/core/naive.h"
 #include "aqua/query/parser.h"
 #include "aqua/storage/table_builder.h"
@@ -191,6 +197,91 @@ TEST_F(MinMaxFixture, DistScalesWellBeyondNaive) {
   ASSERT_TRUE(hull.ok());
   EXPECT_NEAR(hull->high, range->high, 1e-9);
 }
+
+/// 200k tuples, each mapping `v` to one of three columns: most tuples
+/// have a nonzero chance of contributing nothing, so the product of the
+/// exclusion probabilities (~1e-40000) is far below DBL_MIN. Values have
+/// three decimals, so ties across tuples are common. MAX keeps values
+/// below 600, MIN values above 400.
+class LargeExtremumTest : public ::testing::Test {
+ protected:
+  static constexpr size_t kRows = 200000;
+  static constexpr double kProbs[3] = {0.5, 0.3, 0.2};
+
+  void SetUp() override {
+    TableBuilder builder(*Schema::Make({{"a", ValueType::kDouble},
+                                        {"b", ValueType::kDouble},
+                                        {"c", ValueType::kDouble}}));
+    Rng rng(2009);
+    values_.resize(kRows);
+    for (std::array<double, 3>& row : values_) {
+      for (double& v : row) v = std::floor(rng.NextDouble() * 1e6) / 1e3;
+      ASSERT_TRUE(builder
+                      .AppendRow({Value::Double(row[0]), Value::Double(row[1]),
+                                  Value::Double(row[2])})
+                      .ok());
+    }
+    table_ = *std::move(builder).Finish();
+    pmapping_ = *PMapping::Make(
+        {{*RelationMapping::Make("S", "T", {{"a", "v"}}), kProbs[0]},
+         {*RelationMapping::Make("S", "T", {{"b", "v"}}), kProbs[1]},
+         {*RelationMapping::Make("S", "T", {{"c", "v"}}), kProbs[2]}});
+  }
+
+  /// The oracle for the answer's cumulative value at x: prod_t F_t(x),
+  /// F_t(x) = Pr(tuple t contributes nothing or a value on x's side).
+  double ProductOfTupleCdfs(double x, bool is_max) const {
+    double log_sum = 0.0;
+    for (const std::array<double, 3>& row : values_) {
+      double f = 0.0;
+      for (size_t m = 0; m < 3; ++m) {
+        const double v = row[m];
+        const bool kept = is_max ? v < 600 : v > 400;
+        if (!kept || (is_max ? v <= x : v >= x)) f += kProbs[m];
+      }
+      if (f <= 0.0) return 0.0;
+      log_sum += std::log(f);
+    }
+    return std::exp(log_sum);
+  }
+
+  void Check(bool is_max) {
+    const AggregateQuery q = *SqlParser::ParseSimple(
+        is_max ? "SELECT MAX(v) FROM T WHERE v < 600"
+               : "SELECT MIN(v) FROM T WHERE v > 400");
+    const auto answer = is_max ? ByTupleMinMax::DistMax(q, pmapping_, table_)
+                               : ByTupleMinMax::DistMin(q, pmapping_, table_);
+    ASSERT_TRUE(answer.ok()) << answer.status().ToString();
+    const std::vector<Distribution::Entry>& atoms =
+        answer->distribution.entries();
+    ASSERT_FALSE(atoms.empty());
+    EXPECT_NEAR(answer->distribution.TotalMass() + answer->undefined_mass,
+                1.0, 1e-9);
+    for (const Distribution::Entry& e : atoms) {
+      EXPECT_GE(e.prob, 0.0) << e.outcome;
+      EXPECT_LE(e.prob, 1.0) << e.outcome;
+    }
+    // Sample across the whole support, plus the top 20 atoms where the
+    // mass is.
+    for (size_t i = 0; i < atoms.size();
+         i += i + 20 < atoms.size() ? 1 + atoms.size() / 40 : 1) {
+      const double x = atoms[i].outcome;
+      double cumulative = answer->undefined_mass;
+      for (const Distribution::Entry& e : atoms) {
+        if (is_max ? e.outcome <= x : e.outcome >= x) cumulative += e.prob;
+      }
+      EXPECT_NEAR(cumulative, ProductOfTupleCdfs(x, is_max), 1e-9) << x;
+    }
+  }
+
+  std::vector<std::array<double, 3>> values_;
+  Table table_;
+  PMapping pmapping_;
+};
+
+TEST_F(LargeExtremumTest, MaxDistributionDoesNotUnderflow) { Check(true); }
+
+TEST_F(LargeExtremumTest, MinDistributionDoesNotUnderflow) { Check(false); }
 
 TEST_F(MinMaxFixture, RowSubsetPerAuction) {
   AggregateQuery q = *SqlParser::ParseSimple("SELECT MAX(price) FROM T2");

@@ -1,10 +1,10 @@
-// Property tests for the shard merge layer (core/merge.h): every merge
+// Property tests for the merge layer (core/merge.h): every merge
 // operator is the exact combination law for its answer shape, so merging
-// the same per-tuple partials grouped into 1, 2, or 7 shards must be
+// the same per-tuple partials grouped into 1, 2, or 7 parts must be
 // BYTE-identical — not merely close. All randomized probabilities are
 // dyadic (multiples of 1/16) over at most 8 tuples, so every product and
 // sum below is exact in double precision and bit-equality is a fair
-// assertion, mirroring the engine's guarantee that `--shards` never
+// assertion: computing a by-tuple cell chunk by chunk and merging never
 // changes an answer.
 
 #include <gtest/gtest.h>
@@ -59,7 +59,6 @@ std::vector<merge::ShardPartial> CountParts(const std::vector<double>& probs,
     const size_t end = probs.size() * (s + 1) / shards;
     parts[s].dist = CountDp(
         std::vector<double>(probs.begin() + begin, probs.begin() + end));
-    parts[s].rows_covered = end - begin;
   }
   return parts;
 }
@@ -165,7 +164,6 @@ merge::ShardPartial RandomExtremePartial(uint64_t* state) {
     sixteenths_left -= used;
   }
   p.undefined_mass = static_cast<double>(sixteenths_left) / 16.0;
-  p.rows_covered = 1;
   return p;
 }
 

@@ -167,8 +167,7 @@ TEST(QueryStatsTest, ToJsonIsSchemaStable) {
             "\"mappings\":2,"
             "\"limit_timeout_ms\":0,\"limit_steps\":0,\"limit_bytes\":0,"
             "\"samples\":0,\"sampler_seed\":0,"
-            "\"degraded\":false,\"degrade_reason\":\"\","
-            "\"shards\":0,\"degraded_shards\":0,\"hedged_shards\":0}");
+            "\"degraded\":false,\"degrade_reason\":\"\"}");
 }
 
 TEST(QueryStatsTest, EffectiveLimitsAppearWhenSet) {
@@ -212,22 +211,6 @@ TEST(QueryStatsTest, ToStringMentionsDegradation) {
             std::string::npos)
       << s;
   EXPECT_NE(s.find("degraded (DEADLINE_EXCEEDED"), std::string::npos) << s;
-}
-
-TEST(QueryStatsTest, ToStringMentionsShardsOnlyWhenSharded) {
-  QueryStats stats;
-  stats.algorithm = "ByTuplePDCOUNT";
-  stats.mapping_semantics = "by-tuple";
-  stats.aggregate_semantics = "distribution";
-  // Unsharded: the human line stays uncluttered.
-  EXPECT_EQ(stats.ToString().find("shards="), std::string::npos);
-  stats.shards = 4;
-  stats.degraded_shards = 1;
-  stats.hedged_shards = 2;
-  const std::string s = stats.ToString();
-  EXPECT_NE(s.find("shards=4"), std::string::npos) << s;
-  EXPECT_NE(s.find("degraded_shards=1"), std::string::npos) << s;
-  EXPECT_NE(s.find("hedged_shards=2"), std::string::npos) << s;
 }
 
 }  // namespace

@@ -84,6 +84,16 @@ TEST_F(FailpointTest, SpecToStringRoundTrips) {
   }
 }
 
+TEST_F(FailpointTest, ProbabilityTriggerRoundTripsExactly) {
+  const auto spec = ParseSpec("p(0.123456789,7)*error(unavailable)");
+  ASSERT_TRUE(spec.ok());
+  EXPECT_EQ(spec->ToString(), "p(0.123456789,7)*error(unavailable)");
+  const auto back = ParseSpec(spec->ToString());
+  ASSERT_TRUE(back.ok()) << spec->ToString();
+  EXPECT_EQ(back->prob, spec->prob);
+  EXPECT_EQ(back->seed, 7u);
+}
+
 TEST_F(FailpointTest, DisarmedIsNotArmedAndEvaluatesOk) {
   EXPECT_FALSE(Armed());
   EXPECT_TRUE(Evaluate(kSite).ok());

@@ -36,6 +36,17 @@ TEST(PMappingTest, RejectsProbabilitiesNotSummingToOne) {
           .ok());
 }
 
+TEST(PMappingTest, SumErrorShowsFullPrecision) {
+  // 0.6 + 0.4000001 renders as 1 at six significant digits; the message
+  // must show the sum that actually failed the check.
+  const auto pm = PMapping::Make(
+      {{Map("postedDate"), 0.6}, {Map("reducedDate"), 0.4000001}});
+  ASSERT_FALSE(pm.ok());
+  EXPECT_NE(pm.status().message().find("sum to 1.0000001"),
+            std::string::npos)
+      << pm.status().message();
+}
+
 TEST(PMappingTest, ToleranceOnSum) {
   EXPECT_TRUE(PMapping::Make({{Map("postedDate"), 0.6 + 1e-12},
                               {Map("reducedDate"), 0.4}})

@@ -2,6 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
+#include <string>
+
+#include "aqua/common/random.h"
+#include "aqua/mapping/generator.h"
 #include "aqua/workload/ebay.h"
 #include "aqua/workload/real_estate.h"
 
@@ -23,6 +29,34 @@ TEST(PMappingTextTest, RoundTripSingle) {
   for (size_t i = 0; i < original.size(); ++i) {
     EXPECT_TRUE(parsed->mapping(i) == original.mapping(i));
     EXPECT_NEAR(parsed->probability(i), original.probability(i), 1e-9);
+  }
+}
+
+TEST(PMappingTextTest, RandomProbabilitiesRoundTripBitExact) {
+  // Random probabilities are full-precision doubles; anything short of a
+  // round-trip rendering changes them, and a changed set may no longer
+  // sum to 1 within PMapping's tolerance.
+  MappingGeneratorOptions options;
+  for (int i = 0; i < 8; ++i) {
+    options.candidate_sources.push_back("a" + std::to_string(i));
+  }
+  options.certain = {{"id", "id"}};
+  for (uint64_t seed = 1; seed <= 200; ++seed) {
+    options.num_mappings = 1 + seed % 8;
+    Rng rng(seed);
+    const auto original = GenerateRandomPMapping(options, rng);
+    ASSERT_TRUE(original.ok()) << original.status().ToString();
+    const std::string text = PMappingText::Format(*original);
+    const auto parsed = PMappingText::Parse(text);
+    ASSERT_TRUE(parsed.ok()) << "seed " << seed << ": "
+                             << parsed.status().ToString() << "\n" << text;
+    ASSERT_EQ(parsed->size(), original->size());
+    for (size_t i = 0; i < original->size(); ++i) {
+      EXPECT_TRUE(parsed->mapping(i) == original->mapping(i));
+      EXPECT_EQ(std::bit_cast<uint64_t>(parsed->probability(i)),
+                std::bit_cast<uint64_t>(original->probability(i)))
+          << "seed " << seed << " candidate " << i;
+    }
   }
 }
 

@@ -137,33 +137,6 @@ TEST(ParseCliArgsTest, ThreadsFlag) {
   }
 }
 
-TEST(ParseCliArgsTest, ShardsFlag) {
-  // Default: 1 = sharding off.
-  const auto defaulted = ParseCliArgs(RequiredArgs());
-  ASSERT_TRUE(defaulted.ok());
-  EXPECT_EQ(defaulted->engine.shards, 1);
-
-  auto args = RequiredArgs();
-  args.insert(args.end(), {"--shards", "4"});
-  const auto o = ParseCliArgs(args);
-  ASSERT_TRUE(o.ok()) << o.status().ToString();
-  EXPECT_EQ(o->engine.shards, 4);
-
-  auto equals = RequiredArgs();
-  equals.push_back("--shards=8");
-  const auto e = ParseCliArgs(equals);
-  ASSERT_TRUE(e.ok());
-  EXPECT_EQ(e->engine.shards, 8);
-
-  // Unlike --threads, 0 is not a valid shard count: there is no
-  // "hardware shards" default to fall back to.
-  for (const char* bad : {"--shards=0", "--shards=-2", "--shards=many"}) {
-    auto bad_args = RequiredArgs();
-    bad_args.push_back(bad);
-    EXPECT_FALSE(ParseCliArgs(bad_args).ok()) << bad;
-  }
-}
-
 TEST(ParseSchemaSpecTest, ParsesTypesAndAliases) {
   const auto schema =
       ParseSchemaSpec("id:int64, price:double, name:string, d:date");

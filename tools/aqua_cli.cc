@@ -61,7 +61,7 @@ void PrintUsage(std::FILE* out, const char* argv0) {
       "          [--histogram <bins>] [--explain]\n"
       "          [--timeout-ms <ms>] [--max-sequences <n>]\n"
       "          [--degrade off|sample] [--sampler-seed <n>]\n"
-      "          [--threads <n>] [--shards <n>]\n"
+      "          [--threads <n>]\n"
       "          [--stats] [--stats-json] [--trace <file>]\n"
       "          [--metrics text|json]\n"
       "          [--failpoint <site>:<spec>]... [--help]\n"
@@ -69,9 +69,6 @@ void PrintUsage(std::FILE* out, const char* argv0) {
       "all value flags also accept --flag=value\n"
       "--threads: 0 = hardware concurrency (default), 1 = serial; the\n"
       "answer is identical at every setting\n"
-      "--shards: in-process fault domains for the by-tuple pass (default 1\n"
-      "= off); fault-free answers are identical at every setting, shard\n"
-      "failures degrade locally (see stats degraded_shards)\n"
       "--failpoint: arm a fault-injection site, e.g.\n"
       "  --failpoint=storage/csv/read-file:once*error(unavailable)\n"
       "(repeatable; the AQUA_FAILPOINTS env var uses site=spec;... form)\n"

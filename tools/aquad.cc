@@ -52,7 +52,6 @@ struct DaemonOptions {
   std::vector<std::string> failpoints;
   int port = 8080;
   int threads = 0;
-  int shards = 1;
   int64_t drain_ms = 5000;
   int io_timeout_ms = 5000;
   size_t queue_limit = 0;
@@ -69,8 +68,6 @@ void PrintUsage(std::FILE* out, const char* argv0) {
       "\n"
       "  --port N                 listen port (default 8080; 0 = ephemeral)\n"
       "  --threads N              engine worker threads (default: hardware)\n"
-      "  --shards N               in-process fault domains per by-tuple\n"
-      "                           query (default 1 = off)\n"
       "  --default-deadline-ms N  deadline when the request names none "
       "(default 2000)\n"
       "  --max-deadline-ms N      cap on requested deadlines (default 30000;"
@@ -147,9 +144,6 @@ Result<DaemonOptions> ParseDaemonArgs(int argc, char** argv) {
     } else if (name == "--threads") {
       AQUA_ASSIGN_OR_RETURN(const int64_t v, next_int(0));
       o.threads = static_cast<int>(v);
-    } else if (name == "--shards") {
-      AQUA_ASSIGN_OR_RETURN(const int64_t v, next_int(1));
-      o.shards = static_cast<int>(v);
     } else if (name == "--default-deadline-ms") {
       AQUA_ASSIGN_OR_RETURN(o.caps.default_deadline_ms, next_int(1));
     } else if (name == "--max-deadline-ms") {
@@ -225,7 +219,6 @@ int RunDaemon(const DaemonOptions& options) {
   service_options.caps = options.caps;
   service_options.admission = options.admission;
   service_options.engine.threads = options.threads;
-  service_options.engine.shards = options.shards;
   server::QueryService service(*table, schema_mapping->mapping(0),
                                service_options);
   server::HttpServerOptions http_options;

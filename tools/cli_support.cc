@@ -149,13 +149,6 @@ Result<CliOptions> ParseCliArgs(const std::vector<std::string>& args) {
             "--threads must be >= 0 (0 = hardware concurrency)");
       }
       o.engine.threads = static_cast<int>(threads);
-    } else if (name == "--shards") {
-      AQUA_ASSIGN_OR_RETURN(std::string v, next());
-      AQUA_ASSIGN_OR_RETURN(const int64_t shards, ParseInt64(name, v));
-      if (shards < 1) {
-        return Status::InvalidArgument("--shards must be >= 1 (1 = off)");
-      }
-      o.engine.shards = static_cast<int>(shards);
     } else if (name == "--failpoint") {
       AQUA_ASSIGN_OR_RETURN(std::string v, next());
       if (v.find(':') == std::string::npos) {
