@@ -3,6 +3,10 @@
 
 #include <benchmark/benchmark.h>
 
+#include <cstdio>
+#include <string>
+#include <vector>
+
 #include "aqua/core/by_tuple_count.h"
 #include "aqua/core/by_tuple_minmax.h"
 #include "aqua/core/by_tuple_sum.h"
@@ -11,6 +15,7 @@
 #include "aqua/prob/distribution.h"
 #include "aqua/query/executor.h"
 #include "aqua/query/parser.h"
+#include "aqua/storage/csv.h"
 #include "aqua/workload/synthetic.h"
 
 namespace {
@@ -179,6 +184,42 @@ void BM_SqlParse(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_SqlParse);
+
+// CSV ingest over text shaped like aquabench's file-to-answer input: an
+// int64 id and 20 two-decimal doubles per row, 50k rows in memory.
+void BM_CsvParse(benchmark::State& state) {
+  constexpr size_t kRows = 50'000;
+  constexpr size_t kAttributes = 20;
+  std::vector<Attribute> attributes = {{"id", ValueType::kInt64}};
+  std::string text = "id";
+  for (size_t a = 0; a < kAttributes; ++a) {
+    attributes.push_back({"a" + std::to_string(a), ValueType::kDouble});
+    text += ",a" + std::to_string(a);
+  }
+  text += '\n';
+  const Schema schema = *Schema::Make(std::move(attributes));
+  Rng rng(42);
+  for (size_t r = 0; r < kRows; ++r) {
+    text += std::to_string(r);
+    for (size_t a = 0; a < kAttributes; ++a) {
+      const int64_t cents = rng.UniformInt(0, 99999);
+      char buf[32];
+      std::snprintf(buf, sizeof(buf), ",%lld.%02lld",
+                    static_cast<long long>(cents / 100),
+                    static_cast<long long>(cents % 100));
+      text += buf;
+    }
+    text += '\n';
+  }
+  for (auto _ : state) {
+    Result<Table> table = Csv::Parse(text, schema);
+    if (!table.ok()) state.SkipWithError(table.status().ToString().c_str());
+    benchmark::DoNotOptimize(table);
+  }
+  state.SetBytesProcessed(state.iterations() *
+                          static_cast<int64_t>(text.size()));
+}
+BENCHMARK(BM_CsvParse)->Unit(benchmark::kMillisecond);
 
 }  // namespace
 

@@ -5,6 +5,7 @@
 #include <chrono>
 #include <cstdlib>
 #include <mutex>
+#include <optional>
 #include <thread>
 #include <unordered_map>
 #include <utility>
@@ -51,17 +52,12 @@ Result<uint64_t> ParseU64(std::string_view text) {
 }
 
 Result<double> ParseProb(std::string_view text) {
-  try {
-    size_t used = 0;
-    const double v = std::stod(std::string(text), &used);
-    if (used != text.size() || !(v >= 0.0 && v <= 1.0)) {
-      throw std::invalid_argument("range");
-    }
-    return v;
-  } catch (...) {
+  const std::optional<double> v = ParseDouble(text);
+  if (!v || !(*v >= 0.0 && *v <= 1.0)) {
     return Status::InvalidArgument("bad probability '" + std::string(text) +
                                    "' in failpoint spec (expected [0,1])");
   }
+  return *v;
 }
 
 /// Splits "name(args)" into name and args; `args` empty (and `has_args`

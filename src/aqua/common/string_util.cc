@@ -60,4 +60,39 @@ std::string FormatRoundTrip(double v) {
   return std::string(buf, r.ptr);
 }
 
+std::optional<double> ParseDouble(std::string_view text) {
+  // strtod's leading whitespace: the C locale's isspace, without the
+  // locale lookup.
+  size_t i = 0;
+  while (i < text.size() &&
+         (text[i] == ' ' || (text[i] >= '\t' && text[i] <= '\r'))) {
+    ++i;
+  }
+  // from_chars takes no '+' and no "0x" prefix, so the sign and prefix are
+  // consumed here; what follows must start the number itself.
+  bool negative = false;
+  if (i < text.size() && (text[i] == '+' || text[i] == '-')) {
+    negative = text[i] == '-';
+    ++i;
+  }
+  std::chars_format format = std::chars_format::general;
+  if (text.size() - i > 2 && text[i] == '0' &&
+      (text[i + 1] == 'x' || text[i + 1] == 'X')) {
+    i += 2;
+    // from_chars reads "inf" and a '-' in hex mode too; strtod does not
+    // after "0x".
+    if (!std::isxdigit(static_cast<unsigned char>(text[i])) && text[i] != '.') {
+      return std::nullopt;
+    }
+    format = std::chars_format::hex;
+  }
+  if (i == text.size() || text[i] == '+' || text[i] == '-') return std::nullopt;
+  const char* last = text.data() + text.size();
+  double v = 0;
+  const std::from_chars_result r =
+      std::from_chars(text.data() + i, last, v, format);
+  if (r.ec != std::errc() || r.ptr != last) return std::nullopt;
+  return negative ? -v : v;
+}
+
 }  // namespace aqua

@@ -1,6 +1,7 @@
 #ifndef AQUA_COMMON_STRING_UTIL_H_
 #define AQUA_COMMON_STRING_UTIL_H_
 
+#include <optional>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -29,6 +30,14 @@ std::string FormatDouble(double v);
 /// every number aqua writes to be read again and for error messages that
 /// must not round a value into looking valid.
 std::string FormatRoundTrip(double v);
+
+/// Parses all of `text` as a double with `std::from_chars`, accepting what
+/// `std::stod` accepts: leading whitespace, a leading '+' or '-', hex
+/// ("0x1.8p3"), "inf" and "nan". Unlike `std::stod` it also accepts
+/// subnormals, so every double `FormatRoundTrip` or "%.17g" writes parses
+/// back bit for bit. Returns nullopt on trailing junk ("1.5 ", "1.2.3") and
+/// on values out of double's range ("1e400", "1e-400").
+std::optional<double> ParseDouble(std::string_view text);
 
 }  // namespace aqua
 

@@ -2,6 +2,7 @@
 
 #include <charconv>
 #include <fstream>
+#include <optional>
 #include <sstream>
 
 #include "aqua/common/failpoint.h"
@@ -29,18 +30,12 @@ struct Block {
 };
 
 Result<double> ParseProbability(std::string_view text) {
-  try {
-    size_t used = 0;
-    const double v = std::stod(std::string(text), &used);
-    if (used != text.size()) {
-      return Status::InvalidArgument("bad probability '" + std::string(text) +
-                                     "'");
-    }
-    return v;
-  } catch (...) {
+  const std::optional<double> v = ParseDouble(text);
+  if (!v) {
     return Status::InvalidArgument("bad probability '" + std::string(text) +
                                    "'");
   }
+  return *v;
 }
 
 Result<std::vector<Block>> ParseBlocks(std::string_view text) {

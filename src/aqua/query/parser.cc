@@ -103,17 +103,12 @@ class Lexer {
       }
       t.kind = TokenKind::kInt;
     } else {
-      try {
-        size_t used = 0;
-        t.real_value = std::stod(t.text, &used);
-        if (used != t.text.size()) {
-          return Status::InvalidArgument("bad numeric literal '" + t.text +
-                                         "'");
-        }
-      } catch (...) {
+      const std::optional<double> v = ParseDouble(t.text);
+      if (!v) {
         return Status::InvalidArgument("bad numeric literal '" + t.text +
                                        "'");
       }
+      t.real_value = *v;
       t.kind = TokenKind::kReal;
     }
     return t;

@@ -1,7 +1,9 @@
 #include "aqua/storage/csv.h"
 
+#include <algorithm>
 #include <charconv>
 #include <fstream>
+#include <optional>
 
 #include "aqua/common/failpoint.h"
 #include "aqua/common/string_util.h"
@@ -9,84 +11,117 @@
 namespace aqua {
 namespace {
 
-struct Field {
-  std::string text;
+// One field of a record. `text` points into the CSV text, or, for a quoted
+// field that needed unescaping, into the record's scratch buffer.
+struct FieldView {
+  std::string_view text;
   bool quoted = false;
 };
 
-// Splits one CSV record into fields, honouring double-quote quoting. The
-// quoted flag is carried on the field itself (an earlier version smuggled
-// it through a '\1' prefix on the text, which mis-read data that really
-// starts with byte 0x01 — fuzzing territory). Returns false on an
-// unterminated quoted field; note multi-line quoted fields are not
-// supported (records are split on newlines first), so they surface as
-// unterminated quotes too.
-bool SplitRecord(std::string_view line, std::vector<Field>* fields) {
-  fields->clear();
-  Field cur;
-  bool in_quotes = false;
-  for (size_t i = 0; i < line.size(); ++i) {
-    const char c = line[i];
-    if (in_quotes) {
-      if (c == '"') {
-        if (i + 1 < line.size() && line[i + 1] == '"') {
-          cur.text += '"';
-          ++i;
-        } else {
-          in_quotes = false;
-        }
-      } else {
-        cur.text += c;
-      }
-    } else if (c == '"' && cur.text.empty() && !cur.quoted) {
-      in_quotes = true;
-      cur.quoted = true;
-    } else if (c == ',') {
-      fields->push_back(std::move(cur));
-      cur = Field{};
-    } else {
-      cur.text += c;
-    }
-  }
-  if (in_quotes) return false;
-  fields->push_back(std::move(cur));
-  return true;
+// Cuts the next physical line off the front of `*rest`, without its "\n"
+// or "\r\n".
+std::string_view NextLine(std::string_view* rest) {
+  const size_t nl = rest->find('\n');
+  std::string_view line = rest->substr(0, nl);
+  rest->remove_prefix(nl == std::string_view::npos ? rest->size() : nl + 1);
+  if (!line.empty() && line.back() == '\r') line.remove_suffix(1);
+  return line;
 }
 
-Result<Value> ParseTyped(const Field& f, ValueType type) {
-  if (!f.quoted && f.text.empty()) return Value::Null();
-  switch (type) {
+// Splits one record into field views, honouring double-quote quoting: a
+// quote opens a quoted field only as the field's first byte, and bytes
+// after its closing quote are kept literally. A quoted field with no ""
+// escape and nothing after its closing quote is a view into `record`;
+// any other is unescaped into `scratch`, which is reserved to the record's
+// size before its first byte is written so that it never reallocates
+// under a view already handed out. Returns false on an unterminated quoted
+// field; multi-line quoted fields are not supported (records are cut at
+// newlines first), so they surface as unterminated quotes too.
+bool SplitRecord(std::string_view record, std::vector<FieldView>* fields,
+                 std::string* scratch) {
+  fields->clear();
+  scratch->clear();
+  const size_t n = record.size();
+  size_t i = 0;
+  while (true) {
+    if (i < n && record[i] == '"') {
+      const size_t close = record.find('"', i + 1);
+      if (close == std::string_view::npos) return false;
+      if (close + 1 == n || record[close + 1] == ',') {
+        fields->push_back({record.substr(i + 1, close - i - 1), true});
+        i = close + 1;
+      } else {
+        if (scratch->capacity() < n) scratch->reserve(n);
+        const size_t begin = scratch->size();
+        bool in_quotes = true;
+        for (++i; i < n && (in_quotes || record[i] != ','); ++i) {
+          const char c = record[i];
+          if (in_quotes && c == '"') {
+            if (i + 1 < n && record[i + 1] == '"') {
+              scratch->push_back('"');
+              ++i;
+            } else {
+              in_quotes = false;
+            }
+          } else {
+            scratch->push_back(c);
+          }
+        }
+        if (in_quotes) return false;
+        fields->push_back(
+            {std::string_view(scratch->data() + begin, scratch->size() - begin),
+             true});
+      }
+    } else {
+      const size_t end = std::min(record.find(',', i), n);
+      fields->push_back({record.substr(i, end - i), false});
+      i = end;
+    }
+    if (i == n) return true;
+    ++i;  // the ',' between fields
+  }
+}
+
+// Parses one cell straight into its typed column; the empty unquoted
+// field is NULL.
+Status AppendCell(const FieldView& f, Column* column) {
+  if (!f.quoted && f.text.empty()) {
+    column->AppendNull();
+    return Status::OK();
+  }
+  switch (column->type()) {
     case ValueType::kInt64: {
       int64_t v = 0;
-      auto [ptr, ec] =
-          std::from_chars(f.text.data(), f.text.data() + f.text.size(), v);
-      if (ec != std::errc() || ptr != f.text.data() + f.text.size()) {
-        return Status::InvalidArgument("bad int64 field '" + f.text + "'");
+      const char* last = f.text.data() + f.text.size();
+      const auto [ptr, ec] = std::from_chars(f.text.data(), last, v);
+      if (ec != std::errc() || ptr != last) {
+        return Status::InvalidArgument("bad int64 field '" +
+                                       std::string(f.text) + "'");
       }
-      return Value::Int64(v);
+      column->AppendInt64(v);
+      return Status::OK();
     }
     case ValueType::kDouble: {
-      try {
-        size_t pos = 0;
-        const double v = std::stod(f.text, &pos);
-        if (pos != f.text.size()) {
-          return Status::InvalidArgument("bad double field '" + f.text + "'");
-        }
-        return Value::Double(v);
-      } catch (...) {
-        return Status::InvalidArgument("bad double field '" + f.text + "'");
+      const std::optional<double> v = ParseDouble(f.text);
+      if (!v) {
+        return Status::InvalidArgument("bad double field '" +
+                                       std::string(f.text) + "'");
       }
+      column->AppendDouble(*v);
+      return Status::OK();
     }
     case ValueType::kString:
-      return Value::String(f.text);
+      column->AppendString(std::string(f.text));
+      return Status::OK();
     case ValueType::kDate: {
       AQUA_ASSIGN_OR_RETURN(Date d, Date::Parse(f.text));
-      return Value::FromDate(d);
+      column->AppendDate(d);
+      return Status::OK();
     }
     case ValueType::kNull:
-      return Status::Internal("null-typed attribute");
+      break;
   }
-  return Status::Internal("corrupt type");
+  return Status::Internal("null-typed attribute");
 }
 
 std::string EncodeField(const Value& v) {
@@ -127,32 +162,32 @@ Result<Table> Csv::Parse(std::string_view text, const Schema& schema) {
   // one, and without this the first header column would be misnamed
   // "\xEF\xBB\xBFname" and fail schema lookup.
   if (text.substr(0, 3) == "\xEF\xBB\xBF") text.remove_prefix(3);
-  std::vector<std::string_view> lines;
-  size_t start = 0;
-  for (size_t i = 0; i <= text.size(); ++i) {
-    if (i == text.size() || text[i] == '\n') {
-      std::string_view line = text.substr(start, i - start);
-      if (!line.empty() && line.back() == '\r') line.remove_suffix(1);
-      lines.push_back(line);
-      start = i + 1;
-    }
+  std::string_view rest = text;
+  const std::string_view header = NextLine(&rest);
+  if (header.empty()) {
+    // Text of blank lines only has no header; a blank line before a
+    // header is a header naming no attribute.
+    std::string_view probe = rest;
+    bool blank = true;
+    while (blank && !probe.empty()) blank = NextLine(&probe).empty();
+    if (blank) return Status::InvalidArgument("CSV has no header");
   }
-  while (!lines.empty() && lines.back().empty()) lines.pop_back();
-  if (lines.empty()) return Status::InvalidArgument("CSV has no header");
 
-  std::vector<Field> raw;
-  if (!SplitRecord(lines[0], &raw)) {
+  std::vector<FieldView> fields;
+  std::string scratch;
+  if (!SplitRecord(header, &fields, &scratch)) {
     return Status::InvalidArgument(
         "malformed CSV header: unterminated quoted field");
   }
   // Map header position -> schema column index.
-  std::vector<size_t> target(raw.size());
+  std::vector<size_t> target(fields.size());
   std::vector<bool> seen(schema.num_attributes(), false);
-  for (size_t i = 0; i < raw.size(); ++i) {
-    const Field& f = raw[i];
-    AQUA_ASSIGN_OR_RETURN(size_t idx, schema.IndexOf(Trim(f.text)));
+  for (size_t i = 0; i < fields.size(); ++i) {
+    const std::string_view name = fields[i].text;
+    AQUA_ASSIGN_OR_RETURN(size_t idx, schema.IndexOf(Trim(name)));
     if (seen[idx]) {
-      return Status::InvalidArgument("duplicate CSV column '" + f.text + "'");
+      return Status::InvalidArgument("duplicate CSV column '" +
+                                     std::string(name) + "'");
     }
     seen[idx] = true;
     target[i] = idx;
@@ -164,34 +199,40 @@ Result<Table> Csv::Parse(std::string_view text, const Schema& schema) {
     }
   }
 
+  // Every record is one line, so the line count bounds the row count:
+  // size the columns once instead of growing them by doubling.
+  const size_t max_rows =
+      static_cast<size_t>(std::count(rest.begin(), rest.end(), '\n')) +
+      (rest.empty() || rest.back() == '\n' ? 0 : 1);
   std::vector<Column> columns;
   for (const Attribute& attr : schema.attributes()) {
     columns.emplace_back(attr.type);
+    columns.back().Reserve(max_rows);
   }
-  for (size_t li = 1; li < lines.size(); ++li) {
-    if (lines[li].empty()) continue;
-    if (!SplitRecord(lines[li], &raw)) {
+  for (size_t line_no = 2; !rest.empty(); ++line_no) {
+    const std::string_view record = NextLine(&rest);
+    if (record.empty()) continue;
+    if (!SplitRecord(record, &fields, &scratch)) {
       return Status::InvalidArgument(
-          "malformed CSV record on line " + std::to_string(li + 1) +
+          "malformed CSV record on line " + std::to_string(line_no) +
           ": unterminated quoted field");
     }
-    if (raw.size() != target.size()) {
+    if (fields.size() != target.size()) {
       return Status::InvalidArgument(
-          "line " + std::to_string(li + 1) + " has " +
-          std::to_string(raw.size()) + " fields, expected " +
+          "line " + std::to_string(line_no) + " has " +
+          std::to_string(fields.size()) + " fields, expected " +
           std::to_string(target.size()));
     }
-    for (size_t i = 0; i < raw.size(); ++i) {
+    for (size_t i = 0; i < fields.size(); ++i) {
       const size_t col = target[i];
-      Result<Value> v = ParseTyped(raw[i], schema.attribute(col).type);
-      if (!v.ok()) {
+      const Status cell = AppendCell(fields[i], &columns[col]);
+      if (!cell.ok()) {
         // Every cell error names its row and column; "bad double field"
         // alone is useless against a million-line file.
         return Status::InvalidArgument(
-            "line " + std::to_string(li + 1) + ", column '" +
-            schema.attribute(col).name + "': " + v.status().message());
+            "line " + std::to_string(line_no) + ", column '" +
+            schema.attribute(col).name + "': " + cell.message());
       }
-      AQUA_RETURN_NOT_OK(columns[col].Append(*v));
     }
   }
   return Table::Make(schema, std::move(columns));

@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cfloat>
+#include <cmath>
+#include <cstdint>
 #include <cstdlib>
 
 namespace aqua {
@@ -69,6 +73,48 @@ TEST(FormatRoundTripTest, ShortestTextThatParsesBackExactly) {
   for (const double v : {1.0 / 3.0, 2.0 / 7.0, 5e-324, 1.7976931348623157e308,
                          -0.0576, 123456789.125}) {
     EXPECT_EQ(std::strtod(FormatRoundTrip(v).c_str(), nullptr), v) << FormatRoundTrip(v);
+  }
+}
+
+// ParseDouble accepts what std::stod accepts, and subnormals besides; it
+// rejects out-of-range values and trailing junk.
+TEST(ParseDoubleTest, AcceptsWhatStodAcceptsPlusSubnormals) {
+  struct Case {
+    const char* text;
+    double want;
+  };
+  const Case accepted[] = {
+      {"1.5", 1.5},
+      {" \t\n1.5", 1.5},
+      {"+2.5", 2.5},
+      {"-3", -3.0},
+      {"1e3", 1000.0},
+      {"0x1.8p1", 3.0},
+      {"-0X10", -16.0},
+      {"+0x.8p1", 1.0},
+      {"inf", HUGE_VAL},
+      {"-Infinity", -HUGE_VAL},
+      {"-0", -0.0},
+      {"1.7976931348623157e308", DBL_MAX},
+      {"4.9406564584124654e-324", 0x1p-1074},
+      {"2.225e-308", 2.225e-308},
+      {"1e-310", 1e-310},
+  };
+  for (const Case& c : accepted) {
+    const std::optional<double> v = ParseDouble(c.text);
+    ASSERT_TRUE(v.has_value()) << c.text;
+    EXPECT_EQ(std::bit_cast<uint64_t>(*v), std::bit_cast<uint64_t>(c.want))
+        << c.text;
+  }
+  for (const char* text : {"nan", "-nan", "NaN(123)"}) {
+    const std::optional<double> v = ParseDouble(text);
+    ASSERT_TRUE(v.has_value()) << text;
+    EXPECT_TRUE(std::isnan(*v)) << text;
+  }
+  for (const char* text :
+       {"1e400", "-1e400", "1e-400", "1.5 ", "1.2.3", "", " ", "+", "+-1",
+        "--1", "0x", "0xinf", "0x-1", "1e", "1,5", "abc"}) {
+    EXPECT_FALSE(ParseDouble(text).has_value()) << '"' << text << '"';
   }
 }
 

@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cfloat>
+#include <cstdint>
+
 #include "aqua/storage/table_builder.h"
 
 namespace aqua {
@@ -261,6 +265,25 @@ TEST(CsvTest, BomlessTextStartingWithPartialBomBytesIsData) {
   const std::string text = "\xEFid,price,phone,posted\n";
   const auto t = Csv::Parse(text, TestSchema());
   EXPECT_FALSE(t.ok());
+}
+
+TEST(CsvTest, SubnormalAndExtremeDoublesRoundTrip) {
+  // Format writes "%.17g"; every double it writes, subnormals included,
+  // must parse back to the same bits.
+  const Schema schema = *Schema::Make({{"x", ValueType::kDouble}});
+  const double values[] = {4.9406564584124654e-324, -2.2250738585072009e-308,
+                           DBL_MAX, -0.0};
+  Column column(ValueType::kDouble);
+  for (const double v : values) column.AppendDouble(v);
+  const Table original = *Table::Make(schema, {column});
+  const auto parsed = Csv::Parse(Csv::Format(original), schema);
+  ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
+  ASSERT_EQ(parsed->num_rows(), std::size(values));
+  for (size_t r = 0; r < std::size(values); ++r) {
+    EXPECT_EQ(std::bit_cast<uint64_t>(parsed->column(0).DoubleAt(r)),
+              std::bit_cast<uint64_t>(values[r]))
+        << "row " << r;
+  }
 }
 
 }  // namespace
