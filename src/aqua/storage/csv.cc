@@ -30,11 +30,10 @@ std::string_view NextLine(std::string_view* rest) {
 
 // Splits one record into field views, honouring double-quote quoting: a
 // quote opens a quoted field only as the field's first byte, and bytes
-// after its closing quote are kept literally. A quoted field with no ""
-// escape and nothing after its closing quote is a view into `record`;
-// any other is unescaped into `scratch`, which is reserved to the record's
-// size before its first byte is written so that it never reallocates
-// under a view already handed out. Returns false on an unterminated quoted
+// after its closing quote are kept literally. An unquoted field is a view
+// into `record`; a quoted one is unescaped into `scratch`, which is
+// reserved to the record's size first so that it never reallocates under
+// a view already handed out. Returns false on an unterminated quoted
 // field; multi-line quoted fields are not supported (records are cut at
 // newlines first), so they surface as unterminated quotes too.
 bool SplitRecord(std::string_view record, std::vector<FieldView>* fields,
@@ -45,33 +44,26 @@ bool SplitRecord(std::string_view record, std::vector<FieldView>* fields,
   size_t i = 0;
   while (true) {
     if (i < n && record[i] == '"') {
-      const size_t close = record.find('"', i + 1);
-      if (close == std::string_view::npos) return false;
-      if (close + 1 == n || record[close + 1] == ',') {
-        fields->push_back({record.substr(i + 1, close - i - 1), true});
-        i = close + 1;
-      } else {
-        if (scratch->capacity() < n) scratch->reserve(n);
-        const size_t begin = scratch->size();
-        bool in_quotes = true;
-        for (++i; i < n && (in_quotes || record[i] != ','); ++i) {
-          const char c = record[i];
-          if (in_quotes && c == '"') {
-            if (i + 1 < n && record[i + 1] == '"') {
-              scratch->push_back('"');
-              ++i;
-            } else {
-              in_quotes = false;
-            }
+      if (scratch->capacity() < n) scratch->reserve(n);
+      const size_t begin = scratch->size();
+      bool in_quotes = true;
+      for (++i; i < n && (in_quotes || record[i] != ','); ++i) {
+        const char c = record[i];
+        if (in_quotes && c == '"') {
+          if (i + 1 < n && record[i + 1] == '"') {
+            scratch->push_back('"');
+            ++i;
           } else {
-            scratch->push_back(c);
+            in_quotes = false;
           }
+        } else {
+          scratch->push_back(c);
         }
-        if (in_quotes) return false;
-        fields->push_back(
-            {std::string_view(scratch->data() + begin, scratch->size() - begin),
-             true});
       }
+      if (in_quotes) return false;
+      fields->push_back(
+          {std::string_view(scratch->data() + begin, scratch->size() - begin),
+           true});
     } else {
       const size_t end = std::min(record.find(',', i), n);
       fields->push_back({record.substr(i, end - i), false});
